@@ -204,8 +204,6 @@ func (c Class) Latency() uint64 {
 		return 3
 	case ClassDiv:
 		return 20
-	case ClassQueue:
-		return 1
 	default:
 		return 1
 	}
