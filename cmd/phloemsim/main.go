@@ -14,7 +14,7 @@
 //	phloemsim -bench BFS -chrome-trace out.json # chrome://tracing timeline
 //	phloemsim -bench BFS -telemetry s.csv -interval 1000
 //	phloemsim -bench Radii -commopt             # apply commopt; occupancy table
-//	phloemsim -bench BFS -backend native        # run on real Go concurrency
+//	phloemsim -bench BFS -backend native        # run directly, no simulation
 //
 // With -commopt the compiled pipeline additionally runs through the static
 // queue-communication optimization pass (internal/commopt) before
@@ -23,12 +23,12 @@
 // occupancy against the occupancy the simulator actually observed.
 //
 // With -backend native both legs execute on the native backend
-// (internal/native): one goroutine per stage and RA, one bounded channel
-// per queue. There is no cycle model, so the summary reports wall time,
-// and the simulator-only flags (-telemetry, -profile, -chrome-trace,
-// -faults, -cycle-budget) are rejected. -commopt still applies (its
-// capacities size the native channels), but the occupancy table needs the
-// simulator's probe and is skipped.
+// (internal/native): every stage and RA is a resumable task on one
+// cooperative scheduler, and every queue a bounded ring. There is no cycle
+// model, so the summary reports wall time, and the simulator-only flags
+// (-telemetry, -profile, -chrome-trace, -faults, -cycle-budget) are
+// rejected. -commopt still applies (its capacities size the native rings),
+// but the occupancy table needs the simulator's probe and is skipped.
 //
 // Exit codes: 0 success, 1 compile failure/deadlock/any other error,
 // 2 cycle or trace budget exceeded, 3 functional trap, 4 wall-clock
@@ -123,7 +123,7 @@ func run() int {
 	commOpt := flag.Bool("commopt", false,
 		"apply the static queue-communication optimization pass and print its plan plus a predicted-vs-observed occupancy table")
 	backendName := flag.String("backend", "sim",
-		"execution backend: sim (cycle-accurate simulator) or native (real Go concurrency; wall time + functional results, no cycle model)")
+		"execution backend: sim (cycle-accurate simulator) or native (stages as cooperatively scheduled tasks, bounded rings as queues; wall time + functional results, no cycle model)")
 	flag.Parse()
 
 	fail := func(err error) int {
@@ -264,8 +264,8 @@ func run() int {
 	}
 	if backend == core.BackendNative {
 		// No cycle model natively: report wall time, and say what it is
-		// not — on a single-core host this is serial-interpreter vs
-		// goroutine-pipeline wall clock, not simulated speedup.
+		// not — this is serial-interpreter vs pipeline-interpreter wall
+		// clock on one goroutine, not simulated speedup.
 		fmt.Printf("\nwall on %s: serial %v, phloem %v (%s backend; wall-clock on this host, not simulated cycles)\n",
 			in.Name, sc.Wall.Round(time.Microsecond), pc.Wall.Round(time.Microsecond), backend)
 		return 0

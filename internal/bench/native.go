@@ -1,21 +1,23 @@
 package bench
 
 // The native-backend benchmark behind `phloembench -exp native`: every suite
-// benchmark is compiled once (commopt on, so native channels carry the
+// benchmark is compiled once (commopt on, so native rings carry the
 // pass-inferred capacities) and its largest test input runs through the full
-// timing simulator and the native Go-concurrency backend, comparing wall
-// time at seed scale; then a BFS scale sweep grows grid graphs past the
-// point the timing simulator can finish within a fixed cycle budget while
-// the native backend keeps producing verified functional results. Both legs
-// of every row are verified and must execute identical instruction counts —
-// the report doubles as an end-to-end run of the differential contract.
+// timing simulator, the functional engine alone, and the native backend,
+// comparing wall time at seed scale; then a BFS scale sweep grows grid
+// graphs past the point the timing simulator can finish within a fixed
+// cycle budget while the native backend keeps producing verified functional
+// results. Every leg of every row is verified and must execute identical
+// instruction counts — the report doubles as an end-to-end run of the
+// differential contract.
 //
-// Honesty note, baked into the report's "note" field: on a single-core host
-// the native backend's goroutines time-slice on one CPU, so the speedup
-// column measures the cost of cycle-accurate *simulation* (trace recording
-// plus timing replay) against direct execution — wall-clock speedup and
-// scale reach, not parallel speedup. Wall columns are never compared by the
-// regression differ.
+// Honesty note, baked into the report's "note" field: the native backend
+// runs every stage on one cooperative scheduler, so the speedup column
+// measures the cost of cycle-accurate *simulation* (trace recording plus
+// timing replay) against direct execution — wall-clock speedup and scale
+// reach, not parallel speedup. The functional column is the fair
+// interpreter-to-interpreter comparison. Wall columns are never compared by
+// the regression differ.
 
 import (
 	"encoding/json"
@@ -61,9 +63,11 @@ type NativeRow struct {
 	// Instructions is the dynamic micro-op count; both backends executed
 	// exactly this many or the row would have failed.
 	Instructions uint64 `json:"instructions"`
-	// Wall columns are host-dependent and never compared.
-	SimWallMS    float64 `json:"sim_wall_ms"`
-	NativeWallMS float64 `json:"native_wall_ms"`
+	// Wall columns are host-dependent and never compared. FunctionalWallMS
+	// times sim.RunFunctional alone (no timing replay) on the same input.
+	SimWallMS        float64 `json:"sim_wall_ms"`
+	FunctionalWallMS float64 `json:"functional_wall_ms"`
+	NativeWallMS     float64 `json:"native_wall_ms"`
 	// Speedup is SimWallMS/NativeWallMS (host-dependent, never compared).
 	Speedup float64 `json:"speedup"`
 }
@@ -106,11 +110,13 @@ type NativeReport struct {
 }
 
 // nativeNote is the report's standing honesty disclaimer.
-const nativeNote = "wall-clock speedup of direct execution over cycle-accurate simulation " +
-	"(functional pass + trace recording + timing replay) on this host; on a single-core " +
-	"machine this is NOT parallel speedup — the native backend's goroutines time-slice " +
-	"on one CPU. The sweep shows scale reach: sizes the simulator cannot finish within " +
-	"the fixed cycle budget still produce verified functional results natively."
+const nativeNote = "speedup is the wall-clock speedup of direct execution over cycle-accurate " +
+	"simulation (functional pass + trace recording + timing replay) on this host; it is NOT " +
+	"parallel speedup — the native backend runs every stage and RA as a cooperatively " +
+	"scheduled task on one goroutine, like SMT threads sharing one core. functional_wall_ms " +
+	"times the functional engine alone (it still records a trace), the fair " +
+	"interpreter-to-interpreter comparison. The sweep shows scale reach: sizes the simulator " +
+	"cannot finish within the fixed cycle budget still produce verified functional results natively."
 
 // nativeInstance compiles-and-instantiates with the bench suite's trace
 // headroom. Native runs reuse MaxTraceEntries as an instruction cap, so the
@@ -141,6 +147,25 @@ func runNativeLeg(pl *pipeline.Pipeline, in *workloads.Input, traceCap int) (*na
 	return st, nil
 }
 
+// runFunctionalLeg times the functional engine alone on a fresh instance
+// and verifies it executed want instructions and produced correct outputs.
+func runFunctionalLeg(pl *pipeline.Pipeline, in *workloads.Input, traceCap int, want uint64) (time.Duration, error) {
+	inst, err := nativeInstance(pl, in.Bind(), traceCap)
+	if err != nil {
+		return 0, err
+	}
+	start := time.Now()
+	ts, err := inst.Machine.RunFunctional()
+	wall := time.Since(start)
+	if err != nil {
+		return 0, err
+	}
+	if ts.Instructions != want {
+		return 0, fmt.Errorf("functional engine executed %d instructions, simulator %d", ts.Instructions, want)
+	}
+	return wall, in.Verify(inst)
+}
+
 // NativePerf runs the seed-scale comparison and the BFS scale sweep and
 // returns the report. Families, when non-empty, restricts the seed-scale
 // table (the sweep always runs) — the package tests use it to stay inside
@@ -158,9 +183,9 @@ func NativePerf(cfg Config, families ...string) (*NativeReport, error) {
 	opt := core.DefaultOptions()
 	opt.CommOpt = true
 
-	cfg.printf("\nNative backend: wall time vs the timing simulator (largest test input per family)\n")
-	cfg.printf("%-8s %-14s %7s %7s %12s %14s %12s %12s %8s\n",
-		"bench", "input", "stages", "queues", "cycles", "instructions", "sim-wall", "native-wall", "speedup")
+	cfg.printf("\nNative backend: wall time vs the timing simulator and the functional engine (largest test input per family)\n")
+	cfg.printf("%-8s %-14s %7s %7s %12s %14s %12s %12s %12s %8s\n",
+		"bench", "input", "stages", "queues", "cycles", "instructions", "sim-wall", "func-wall", "native-wall", "speedup")
 	var speedups []float64
 	for _, b := range workloads.Benchmarks(cfg.Scale) {
 		if len(keep) > 0 && !keep[b.Name] {
@@ -183,6 +208,11 @@ func NativePerf(cfg Config, families ...string) (*NativeReport, error) {
 		}
 		simWall := time.Since(simStart)
 
+		fnWall, err := runFunctionalLeg(res.Pipeline, in, 256<<20, st.Instructions)
+		if err != nil {
+			return nil, fmt.Errorf("%s (functional): %w", b.Name, err)
+		}
+
 		nst, err := runNativeLeg(res.Pipeline, in, 256<<20)
 		if err != nil {
 			return nil, fmt.Errorf("%s (native): %w", b.Name, err)
@@ -195,15 +225,16 @@ func NativePerf(cfg Config, families ...string) (*NativeReport, error) {
 			Name: b.Name, Input: in.Name,
 			Stages: res.Pipeline.TotalStages(), Queues: len(res.Pipeline.Queues),
 			Cycles: st.Cycles, Instructions: st.Instructions,
-			SimWallMS:    float64(simWall.Microseconds()) / 1e3,
-			NativeWallMS: float64(nst.Wall.Microseconds()) / 1e3,
+			SimWallMS:        float64(simWall.Microseconds()) / 1e3,
+			FunctionalWallMS: float64(fnWall.Microseconds()) / 1e3,
+			NativeWallMS:     float64(nst.Wall.Microseconds()) / 1e3,
 		}
 		row.Speedup = row.SimWallMS / row.NativeWallMS
 		speedups = append(speedups, row.Speedup)
 		rep.Benchmarks = append(rep.Benchmarks, row)
-		cfg.printf("%-8s %-14s %7d %7d %12d %14d %10.1fms %10.1fms %7.1fx\n",
+		cfg.printf("%-8s %-14s %7d %7d %12d %14d %10.1fms %10.1fms %10.1fms %7.1fx\n",
 			row.Name, row.Input, row.Stages, row.Queues, row.Cycles, row.Instructions,
-			row.SimWallMS, row.NativeWallMS, row.Speedup)
+			row.SimWallMS, row.FunctionalWallMS, row.NativeWallMS, row.Speedup)
 	}
 	if len(speedups) > 0 {
 		rep.MinSpeedup = speedups[0]

@@ -35,6 +35,9 @@ func TestNativePerfSmoke(t *testing.T) {
 	if r.Speedup <= 0 {
 		t.Errorf("speedup not computed: %+v", r)
 	}
+	if r.FunctionalWallMS <= 0 {
+		t.Errorf("functional column not populated: %+v", r)
+	}
 	if len(rep.Sweep) != 2 {
 		t.Fatalf("want 2 sweep rows, got %+v", rep.Sweep)
 	}

@@ -17,7 +17,10 @@ package core
 // anyway (the winner's stages, SearchPoint stage counts, and the Searched
 // counter all need the built pipeline). Pruned and cancelled candidates
 // are never journaled: pruning is recomputed, and a cancelled candidate
-// has no verdict.
+// has no verdict. Nor is any candidate finalized after a cancelled one:
+// at Parallelism > 1 it may have completed under a bound that lacks the
+// cancelled candidate's result, so its verdict (say, a completion the
+// serial search would have cut as a budget skip) is not the serial one.
 //
 // Why replay is sound: the journal key hashes the program (ir.Prog.Print),
 // the arch config, and every option that shapes enumeration or budget

@@ -164,6 +164,11 @@ type searcher struct {
 	// journal, when non-nil, replays previously recorded measurements and
 	// records new ones (Options.Checkpoint/Resume).
 	journal *journal
+	// cancelled is set (merger-owned) once a cancelled candidate has been
+	// merged. That candidate has no verdict, so the bound every later
+	// candidate is finalized under may be looser than the serial search's;
+	// their verdicts are not journaled.
+	cancelled bool
 }
 
 func newSearcher(p *ir.Prog, opt Options, base Budget, initialBest uint64) *searcher {
@@ -352,7 +357,12 @@ func (s *searcher) merge(memo map[int]*candFinal, t *candTask, f *candFinal) {
 		s.best = f.cycles
 		s.bound.Store(s.exactBound())
 	}
-	s.journal.record(t.fp, f)
+	if f.skip != nil && f.skip.Reason == SkipCancelled {
+		s.cancelled = true
+	}
+	if !s.cancelled {
+		s.journal.record(t.fp, f)
+	}
 }
 
 // dupFinal resolves a duplicate task from the original's memoized result:

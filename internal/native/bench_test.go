@@ -1,13 +1,13 @@
 package native_test
 
 // Allocation discipline for the native executor, mirroring the simulator's
-// growDouble rule: steady-state per-run allocations are bounded by pipeline
-// shape (goroutines, channels, executor frames), never by workload size —
-// register files, peek stashes, and RA batches come from a sync.Pool, and
-// values travel through channels by value. BenchmarkNative* measure it;
-// TestNativeAllocRegression pins a ceiling so a per-message allocation
-// sneaking into the hot path fails CI rather than slowly eroding the
-// backend's reason to exist.
+// growDouble rule: per-run allocations are bounded by pipeline shape (one
+// ring backing array, stage register files and handler tables, executor
+// frames), never by workload size — values travel through the rings by
+// value and nothing is allocated per token. BenchmarkNative* give the
+// per-family native layer numbers; TestNativeAllocRegression pins a
+// ceiling so a per-message allocation sneaking into the hot path fails CI
+// rather than slowly eroding the backend's reason to exist.
 
 import (
 	"testing"
@@ -20,7 +20,7 @@ import (
 )
 
 // benchInstance compiles family name at test scale (commopt on, so native
-// channels carry pass-inferred capacities) and instantiates its largest
+// rings carry pass-inferred capacities) and instantiates its largest
 // test input. The returned instance is safe to re-run: every family's
 // outputs are pure functions of its inputs, and stage register files are
 // re-initialized per run.
@@ -62,13 +62,16 @@ func benchNative(b *testing.B, family string) {
 	}
 }
 
-func BenchmarkNativeSpMM(b *testing.B) { benchNative(b, "SpMM") }
-func BenchmarkNativeBFS(b *testing.B)  { benchNative(b, "BFS") }
+func BenchmarkNativeSpMM(b *testing.B)  { benchNative(b, "SpMM") }
+func BenchmarkNativeBFS(b *testing.B)   { benchNative(b, "BFS") }
+func BenchmarkNativeCC(b *testing.B)    { benchNative(b, "CC") }
+func BenchmarkNativePRD(b *testing.B)   { benchNative(b, "PRD") }
+func BenchmarkNativeRadii(b *testing.B) { benchNative(b, "Radii") }
 
-// TestNativeAllocRegression pins the steady-state allocation ceiling.
-// Measured on the seed host: ~60 allocs/op for the commopt SpMM pipeline
-// (goroutine stacks, channels, executor frames — all O(stages+queues)).
-// The ceiling leaves ~3x headroom for runtime variance; what it must catch
+// TestNativeAllocRegression pins the per-run allocation ceiling. Measured
+// on a 2-core host: 30 allocs/op for the commopt SpMM pipeline (engine,
+// ring backing array, stage and RA executors, register files, stats — all
+// O(stages+queues)). The ceiling leaves wide headroom; what it must catch
 // is a per-message or per-element allocation, which would blow through it
 // by orders of magnitude on these inputs (thousands of tokens per run).
 func TestNativeAllocRegression(t *testing.T) {

@@ -132,7 +132,7 @@ func compileFamily(t *testing.T, b *workloads.Benchmark, opt core.Options) *pipe
 // TestDiffBenchmarkFamilies runs every benchmark family's compiled
 // pipeline on every test input through both backends, with commopt off
 // (author/default queue depths) and on (pass-inferred capacities and
-// multicast fan-outs feeding native channel sizing).
+// multicast fan-outs feeding native ring sizing).
 func TestDiffBenchmarkFamilies(t *testing.T) {
 	for _, commOpt := range []bool{false, true} {
 		opt := core.DefaultOptions()

@@ -1,10 +1,16 @@
-// Package native executes a compiled pipeline as real Go concurrency
-// instead of simulating it: one goroutine per stage, one goroutine per
-// reference accelerator (a batched prefetching reader), and one bounded
-// channel per architectural queue. It consumes the same post-pass
-// sim.Machine the simulator runs — same flattened stage programs, same
-// queue specs, RA specs, fan-out edges, slot table, and memory space — so
-// any pipeline the compiler produces runs on either backend unchanged.
+// Package native executes a compiled pipeline directly instead of
+// simulating it. Like the paper's Pipette core, where a pipeline's stages
+// are SMT threads sharing one core and talking through hardware queues,
+// every stage and every reference accelerator is a resumable task on one
+// cooperative scheduler, and every architectural queue is a bounded ring.
+// A stage runs until it would dequeue from an empty ring, enqueue into a
+// full one, wait at a barrier, or use up its turn; it then yields with its
+// pc and registers intact and resumes at the same instruction. The
+// scheduler steps the RAs after every stage turn. It consumes the same
+// post-pass sim.Machine the simulator runs — same flattened stage
+// programs, queue specs, RA specs, fan-out edges, slot table, and memory
+// space — so any pipeline the compiler produces runs on either backend
+// unchanged.
 //
 // Semantics follow the functional simulator exactly where both are
 // defined: identical opcode behavior (including Mov clearing the control
@@ -15,7 +21,7 @@
 // counts against sim.RunFunctional on every workload.
 //
 // The one deliberate divergence is queue capacity: the functional phase
-// uses unbounded queues, while this backend uses bounded channels sized by
+// uses unbounded queues, while this backend bounds each ring by
 // arch.QueueSpec.Capacity — the same bound the timing model enforces. A
 // pipeline that overfills a queue nobody drains therefore backpressures
 // and deadlocks here (and in the timing phase) where the functional phase
@@ -25,49 +31,29 @@
 // Failures map onto the simulator's sentinel error family, so callers
 // classify native errors with errors.Is against sim.ErrDeadlock,
 // sim.ErrTrap, sim.ErrTraceLimit, sim.ErrCancelled, and sim.ErrWallBudget
-// exactly as they do for simulated runs.
+// exactly as they do for simulated runs. A scheduler pass in which nothing
+// moves is a deadlock, detected exactly and at once.
 package native
 
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"phloem/internal/mem"
 	"phloem/internal/sim"
 )
 
-const (
-	// defaultRABatch is the RA reader's drain-batch size: tokens greedily
-	// collected per channel rendezvous. Batching amortizes channel
-	// synchronization and presents the memory system with a window of
-	// independent loads — the software analogue of the RA's
-	// outstanding-request window.
-	defaultRABatch = 256
-	// defaultWatchdog is the no-progress interval after which the engine
-	// starts suspecting a deadlock; two consecutive stalled intervals
-	// declare one. Cheap enough to leave at 100ms; deadlock tests lower it.
-	defaultWatchdog = 100 * time.Millisecond
-	// flushEvery is how many locally-counted instructions a stage executes
-	// between flushes to the shared progress/instruction counters (and
-	// stop-flag polls) — the native analogue of sim's amortized
-	// interrupt-check period.
-	flushEvery = 1024
-	// scanChunk bounds how many elements a SCAN RA streams between
-	// progress bumps, so huge ranges can't starve the watchdog.
-	scanChunk = 4096
-)
+// checkEvery is how many instructions run between polls of the
+// instruction cap, Machine.Ctx, and Machine.WallDeadline — the native
+// analogue of sim's amortized interrupt check. It is also the longest
+// turn a stage gets, so a stage that never touches a queue cannot starve
+// the others or the polls.
+const checkEvery = 1024
 
-// Options tunes the native executor. The zero value is ready to use.
-type Options struct {
-	// RABatch overrides the RA drain-batch size (0: default 256).
-	RABatch int
-	// WatchdogInterval overrides the deadlock watchdog period (0: 100ms).
-	// Deadlock is declared after two consecutive stalled intervals.
-	WatchdogInterval time.Duration
-}
+// Options tunes the native executor. It has no fields; the zero value is
+// the only value.
+type Options struct{}
 
 // Stats reports a native run. Instructions counts every executed stage
 // instruction (including Halt and Barrier, excluding RA micro-events) and
@@ -99,54 +85,46 @@ func (s *Stats) String() string {
 	return sb.String()
 }
 
-// engine holds the shared state of one native run.
-type engine struct {
-	m   *sim.Machine
-	opt Options
+// ring is one queue: a FIFO of exactly the queue's capacity.
+type ring struct {
+	buf        []sim.Value
+	head, tail int
+	n          int
+}
 
-	chans []chan sim.Value
-	// slots is the machine-wide array-slot table; OpSwapSlots exchanges
-	// two entries atomically, loads are single atomic pointer reads.
-	slots []atomic.Pointer[mem.Array]
+func (r *ring) full() bool { return r.n == len(r.buf) }
+
+func (r *ring) push(v sim.Value) {
+	r.buf[r.tail] = v
+	if r.tail++; r.tail == len(r.buf) {
+		r.tail = 0
+	}
+	r.n++
+}
+
+func (r *ring) pop() sim.Value {
+	v := r.buf[r.head]
+	if r.head++; r.head == len(r.buf) {
+		r.head = 0
+	}
+	r.n--
+	return v
+}
+
+// engine is the scheduler and shared state of one native run.
+type engine struct {
+	m      *sim.Machine
+	queues []ring
 	// fan maps a queue id to the fan-out destinations every data enqueue
 	// into it is duplicated to (nil for ordinary queues).
-	fan [][]int
-	// raIdx maps a queue id to the RA consuming it (-1 if none); producers
-	// bump that RA's sent counter before sending so OpSwapSlots can
-	// quiesce in-flight accelerator work.
-	raIdx []int
-	// prod counts live producers per queue (stages, fan-out duplication,
-	// RA outputs). The producer that decrements a count to zero closes the
-	// channel; queues with no producers are closed at startup.
-	prod []atomic.Int32
-
+	fan    [][]int
 	stages []*stageExec
 	ras    []*raExec
-
-	bar *barrier
-
-	// hasSwaps gates the RA quiesce counters: pipelines without
-	// OpSwapSlots never pay for them.
-	hasSwaps bool
-	raSent   []atomic.Uint64
-	raDone   []atomic.Uint64
-
-	// instrs accumulates flushed stage instruction counts; progress
-	// additionally counts RA token completions. The watchdog declares
-	// deadlock when progress stalls; instrs over cap is the livelock guard.
-	instrs   atomic.Uint64
-	progress atomic.Uint64
-	cap      uint64
-
-	// stop is closed (once) with failure recorded when any goroutine
-	// aborts the run; stopped is the cheap flag for amortized polls.
-	stop     chan struct{}
-	stopOnce sync.Once
-	stopped  atomic.Bool
-	failure  error
-
-	wg      sync.WaitGroup
-	allDone chan struct{}
+	// live counts stages that have not halted; waiting counts the live
+	// stages parked at a barrier. The barrier releases when they are equal.
+	live, waiting int
+	instrs        uint64
+	cap           uint64
 }
 
 // Run executes the machine's stage programs natively to completion.
@@ -154,88 +132,54 @@ type engine struct {
 // swaps), exactly as after sim.RunFunctional. m.Ctx, m.WallDeadline, and
 // m.MaxTraceEntries are honored with the same sentinel errors as the
 // simulator.
-func Run(m *sim.Machine, opt Options) (*Stats, error) {
+func Run(m *sim.Machine, _ Options) (st *Stats, err error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	e := newEngine(m, opt)
+	// Typed memory-system panics become structured traps, exactly as in
+	// the functional engine; anything else is a real bug and propagates.
+	defer func() {
+		if r := recover(); r != nil {
+			me, ok := r.(*mem.Error)
+			if !ok {
+				panic(r)
+			}
+			st, err = nil, &sim.TrapError{PC: -1, Msg: me.Error()}
+		}
+	}()
 	start := time.Now()
-
-	for _, ra := range e.ras {
-		e.wg.Add(1)
-		go ra.run()
-	}
-	for _, st := range e.stages {
-		e.wg.Add(1)
-		go st.run()
-	}
-	monDone := e.startMonitor()
-	e.wg.Wait()
-	close(e.allDone)
-	<-monDone
-
-	if e.failure != nil {
-		return nil, e.failure
-	}
-	// A cancellation that raced the final stage exits still counts: the
-	// simulator's amortized poll has the same property.
-	if err := e.checkInterrupt(); err != nil {
+	e := newEngine(m)
+	if err := e.run(); err != nil {
 		return nil, err
 	}
-	st := &Stats{
-		Instructions: e.instrs.Load(),
+	st = &Stats{
+		Instructions: e.instrs,
 		Wall:         time.Since(start),
+		Leftover:     make([]int, len(e.queues)),
 		Stages:       len(e.stages),
 		RAs:          len(e.ras),
-		Queues:       len(e.chans),
+		Queues:       len(e.queues),
 	}
-	st.Leftover = make([]int, len(e.chans))
-	for q, ch := range e.chans {
-		st.Leftover[q] = len(ch)
-	}
-	for _, sx := range e.stages {
-		for q := range sx.hasPeek {
-			if sx.hasPeek[q] {
-				st.Leftover[q]++
-			}
-		}
-		sx.release()
-	}
-	for _, ra := range e.ras {
-		ra.release()
-	}
-	// Write final slot bindings back so callers observe swaps exactly as
-	// they would after a functional run.
-	for i := range e.slots {
-		m.Slots[i] = e.slots[i].Load()
+	for q := range e.queues {
+		st.Leftover[q] = e.queues[q].n
 	}
 	return st, nil
 }
 
-func newEngine(m *sim.Machine, opt Options) *engine {
-	if opt.RABatch <= 0 {
-		opt.RABatch = defaultRABatch
-	}
-	if opt.WatchdogInterval <= 0 {
-		opt.WatchdogInterval = defaultWatchdog
-	}
-	e := &engine{
-		m:       m,
-		opt:     opt,
-		stop:    make(chan struct{}),
-		allDone: make(chan struct{}),
-		cap:     uint64(m.MaxTraceEntries),
-	}
+func newEngine(m *sim.Machine) *engine {
+	e := &engine{m: m, cap: uint64(m.MaxTraceEntries)}
 	if e.cap == 0 {
 		e.cap = 64 << 20
 	}
-	e.chans = make([]chan sim.Value, len(m.Queues))
+	e.queues = make([]ring, len(m.Queues))
+	total := 0
 	for q := range m.Queues {
-		e.chans[q] = make(chan sim.Value, m.Queues[q].Capacity(m.Cfg.QueueDepth))
+		total += m.Queues[q].Capacity(m.Cfg.QueueDepth)
 	}
-	e.slots = make([]atomic.Pointer[mem.Array], len(m.Slots))
-	for i, a := range m.Slots {
-		e.slots[i].Store(a)
+	backing := make([]sim.Value, total)
+	for q := range m.Queues {
+		c := m.Queues[q].Capacity(m.Cfg.QueueDepth)
+		e.queues[q].buf, backing = backing[:c:c], backing[c:]
 	}
 	if len(m.FanOuts) > 0 {
 		e.fan = make([][]int, len(m.Queues))
@@ -243,89 +187,71 @@ func newEngine(m *sim.Machine, opt Options) *engine {
 			e.fan[f.Src] = f.Dst
 		}
 	}
-	e.raIdx = make([]int, len(m.Queues))
-	for q := range e.raIdx {
-		e.raIdx[q] = -1
-	}
-	for i := range m.RAs {
-		e.raIdx[m.RAs[i].InQ] = i
-	}
-	e.raSent = make([]atomic.Uint64, len(m.RAs))
-	e.raDone = make([]atomic.Uint64, len(m.RAs))
-
-	// Static producer census. Every way a token can enter a queue is
-	// statically known: a stage enqueue, its fan-out duplication, or an RA
-	// output. Each producer decrements on clean exit; zero closes the
-	// channel, which is how consumers learn a queue can never be fed again.
-	e.prod = make([]atomic.Int32, len(m.Queues))
 	for _, st := range m.Stages {
-		u := st.Prog.QueueUse()
-		if u.HasSwap {
-			e.hasSwaps = true
-		}
-		sx := newStageExec(e, st, u)
-		for _, q := range u.Produces {
-			sx.prodQ = append(sx.prodQ, q)
-			if e.fan != nil {
-				sx.prodQ = append(sx.prodQ, e.fan[q]...)
-			}
-		}
-		for _, q := range sx.prodQ {
-			e.prod[q].Add(1)
-		}
-		e.stages = append(e.stages, sx)
+		e.stages = append(e.stages, newStageExec(e, st))
 	}
 	for i := range m.RAs {
-		e.prod[m.RAs[i].OutQ].Add(1)
-		e.ras = append(e.ras, newRAExec(e, i))
+		e.ras = append(e.ras, &raExec{spec: &m.RAs[i]})
 	}
-	for q := range e.prod {
-		if e.prod[q].Load() == 0 {
-			close(e.chans[q])
-		}
-	}
-	e.bar = newBarrier(len(e.stages))
+	e.live = len(e.stages)
 	return e
 }
 
-// producerExit retires one producer: queues whose last producer leaves are
-// closed so their consumer unblocks (drains remaining buffered tokens,
-// then observes closure).
-func (e *engine) producerExit(queues []int) {
-	for _, q := range queues {
-		if e.prod[q].Add(-1) == 0 {
-			close(e.chans[q])
+// run schedules the stages round-robin, stepping the RAs after every
+// stage turn that ran, until every stage has halted and the RAs are idle.
+// A turn that runs no instruction changes nothing, and the RAs reach a
+// fixed point after every turn that does; so a pass in which no stage
+// runs and no barrier releases leaves the whole state unchanged, can
+// never be followed by one that makes progress, and is reported as a
+// deadlock at once.
+func (e *engine) run() error {
+	if err := e.poll(); err != nil {
+		return err
+	}
+	nextPoll := e.instrs + checkEvery
+	for {
+		progress := false
+		for _, x := range e.stages {
+			if x.state == sHalted || x.state == sBarrier {
+				continue
+			}
+			n, err := x.turn()
+			if err != nil {
+				return err
+			}
+			if n == 0 {
+				continue
+			}
+			progress = true
+			if err := e.stepRAs(); err != nil {
+				return err
+			}
+			if e.instrs >= nextPoll {
+				if err := e.poll(); err != nil {
+					return err
+				}
+				nextPoll = e.instrs + checkEvery
+			}
+		}
+		if e.waiting > 0 && e.waiting == e.live {
+			e.releaseBarrier()
+			progress = true
+		}
+		if e.live == 0 && e.rasIdle() {
+			return nil
+		}
+		if !progress {
+			return &sim.DeadlockError{Snapshot: e.snapshot()}
 		}
 	}
 }
 
-// fail records the first failure and wakes every blocked goroutine. The
-// first caller wins; later failures (often knock-on effects of the abort)
-// are dropped, matching the functional engine's first-error semantics.
-func (e *engine) fail(err error) {
-	e.stopOnce.Do(func() {
-		e.failure = err
-		e.stopped.Store(true)
-		close(e.stop)
-		e.bar.abort()
-	})
-}
-
-// bumpInstrs flushes a stage's local instruction count and enforces the
-// livelock guard (the functional trace cap's analogue).
-func (e *engine) bumpInstrs(n uint64) {
-	if n == 0 {
-		return
+// poll enforces the instruction cap (the livelock guard, the functional
+// trace cap's analogue) and the cooperative abort sources.
+func (e *engine) poll() error {
+	if e.instrs > e.cap {
+		return &sim.TraceLimitError{Entries: e.instrs, Limit: e.cap}
 	}
-	total := e.instrs.Add(n)
-	e.progress.Add(n)
-	if total > e.cap {
-		e.fail(&sim.TraceLimitError{Entries: total, Limit: e.cap})
-	}
-}
-
-// checkInterrupt mirrors sim.Machine.checkInterrupt for the native phase.
-func (e *engine) checkInterrupt() error {
 	if e.m.Ctx != nil {
 		if err := e.m.Ctx.Err(); err != nil {
 			return &sim.CancelledError{Phase: "native", Cause: err}
@@ -337,28 +263,84 @@ func (e *engine) checkInterrupt() error {
 	return nil
 }
 
-// quiesceRAs waits until every RA has fully processed every token sent
-// toward it (sent counters are bumped before the send, done counters
-// after processing, and an RA feeding another RA bumps the downstream
-// sent before its own done — so while any token is in flight at least one
-// pair disagrees). Used by OpSwapSlots so in-flight accelerator work
-// observes pre-swap bindings, exactly like the functional engine's
-// drain-then-swap.
-func (e *engine) quiesceRAs() bool {
+// releaseBarrier steps every waiting stage past its barrier.
+func (e *engine) releaseBarrier() {
+	for _, x := range e.stages {
+		if x.state == sBarrier {
+			x.state = sReady
+			x.pc++
+		}
+	}
+	e.waiting = 0
+}
+
+// stepRAs steps every RA until none can move. Repeating the round
+// matters only when one RA feeds another.
+func (e *engine) stepRAs() error {
 	for {
-		if e.stopped.Load() {
+		moved := false
+		for _, r := range e.ras {
+			ok, err := r.step(e)
+			if err != nil {
+				return err
+			}
+			moved = moved || ok
+		}
+		if !moved {
+			return nil
+		}
+	}
+}
+
+// rasIdle reports whether every token sent to every RA has been processed
+// and no SCAN range is partly emitted — the quiescence OpSwapSlots waits
+// for, so in-flight accelerator work observes pre-swap bindings.
+func (e *engine) rasIdle() bool {
+	for _, r := range e.ras {
+		if e.queues[r.spec.InQ].n > 0 || r.busy() {
 			return false
 		}
-		idle := true
-		for i := range e.raSent {
-			if e.raSent[i].Load() != e.raDone[i].Load() {
-				idle = false
-				break
-			}
-		}
-		if idle {
-			return true
-		}
-		time.Sleep(time.Microsecond)
 	}
+	return true
+}
+
+// snapshot captures the exact wait-for state of a deadlocked run: each
+// unfinished stage's blocking instruction and what it waits on, and every
+// queue's occupancy.
+func (e *engine) snapshot() *sim.WaitForSnapshot {
+	s := &sim.WaitForSnapshot{Phase: "native"}
+	for _, x := range e.stages {
+		if x.state == sHalted {
+			continue
+		}
+		w := sim.StageWait{
+			Stage:   x.st.Prog.Name,
+			Thread:  x.st.Thread,
+			PC:      int32(x.pc),
+			Fetched: x.pc,
+			Total:   len(x.st.Prog.Instrs),
+		}
+		switch x.state {
+		case sDeq:
+			w.State = "deq-empty"
+			w.Queue = e.queueWait(x.blockQ)
+		case sEnq:
+			w.State = "enq-full"
+			w.Queue = e.queueWait(x.blockQ)
+		case sBarrier:
+			w.State = "barrier"
+		default:
+			w.State = "other"
+		}
+		s.Stages = append(s.Stages, w)
+	}
+	for q := range e.queues {
+		s.Queues = append(s.Queues, *e.queueWait(q))
+	}
+	return s
+}
+
+func (e *engine) queueWait(q int) *sim.QueueWait {
+	r := &e.queues[q]
+	return &sim.QueueWait{Q: q, Name: e.m.Queues[q].Name, Len: r.n, Cap: len(r.buf)}
 }

@@ -108,7 +108,7 @@ func TestHandlerOnlyStage(t *testing.T) {
 
 // TestOverSentQueue: tokens left in a queue nobody consumes. Within the
 // queue's capacity both backends finish and report the same leftovers;
-// past the capacity the native backend (bounded channels, like the timing
+// past the capacity the native backend (bounded rings, like the timing
 // model) backpressure-deadlocks where the unbounded functional phase only
 // reports leftovers — the documented divergence.
 func TestOverSentQueue(t *testing.T) {
@@ -134,7 +134,7 @@ func TestOverSentQueue(t *testing.T) {
 	diffMachines(t, "oversend-within-cap", build(4))
 
 	// Past capacity: functional succeeds with 12 leftovers, native blocks
-	// on the full channel with no consumer and the watchdog fires.
+	// on the full ring with no consumer and the scheduler reports it.
 	ts, err := build(12)().RunFunctional()
 	if err != nil {
 		t.Fatalf("functional oversend: %v", err)
@@ -142,18 +142,49 @@ func TestOverSentQueue(t *testing.T) {
 	if ts.Leftover[0] != 12 {
 		t.Fatalf("functional leftover = %d, want 12", ts.Leftover[0])
 	}
-	_, err = native.Run(build(12)(), native.Options{WatchdogInterval: 10 * time.Millisecond})
+	nm := build(12)()
+	_, err = native.Run(nm, native.Options{})
 	if !errors.Is(err, sim.ErrDeadlock) {
 		t.Fatalf("native oversend past capacity: got %v, want ErrDeadlock", err)
 	}
 	if !strings.Contains(err.Error(), "enq-full") {
 		t.Errorf("deadlock snapshot should report enq-full, got: %v", err)
 	}
+	requireBlockedAt(t, nm, err, isa.OpEnq)
+}
+
+// requireBlockedAt checks that err is a native deadlock whose snapshot
+// places every unfinished stage of m at its (only) instruction of kind op.
+func requireBlockedAt(t *testing.T, m *sim.Machine, err error, op isa.Op) {
+	t.Helper()
+	var de *sim.DeadlockError
+	if !errors.As(err, &de) || de.Snapshot.Phase != "native" {
+		t.Fatalf("expected a native-phase DeadlockError, got %#v", err)
+	}
+	if len(de.Snapshot.Stages) == 0 {
+		t.Fatalf("snapshot lists no blocked stages: %v", err)
+	}
+	for _, w := range de.Snapshot.Stages {
+		want := int32(-1)
+		for _, st := range m.Stages {
+			if st.Prog.Name != w.Stage {
+				continue
+			}
+			for pc, in := range st.Prog.Instrs {
+				if in.Op == op {
+					want = int32(pc)
+				}
+			}
+		}
+		if want < 0 || w.PC != want {
+			t.Errorf("stage %s blocked at pc %d, want the %v at pc %d", w.Stage, w.PC, op, want)
+		}
+	}
 }
 
 // TestZeroProducerDeq: dequeuing a queue no stage or RA ever feeds fails
-// immediately as a deadlock (channel closed at startup), on both backends,
-// with the queue named in the snapshot.
+// immediately as a deadlock, on both backends, with the queue named in the
+// snapshot.
 func TestZeroProducerDeq(t *testing.T) {
 	build := func() *sim.Machine {
 		m := sim.NewMachine(arch.DefaultConfig(1))
@@ -182,8 +213,8 @@ func TestZeroProducerDeq(t *testing.T) {
 }
 
 // TestCrossBlockDeadlock: two stages each waiting for the other's first
-// token. Both queues have live producers, so no channel ever closes and
-// the no-progress watchdog must catch it.
+// token. Both queues have live producers, so only the scheduler's
+// no-progress rule can catch it; the snapshot names each stage's Deq.
 func TestCrossBlockDeadlock(t *testing.T) {
 	build := func() *sim.Machine {
 		m := sim.NewMachine(arch.DefaultConfig(1))
@@ -204,13 +235,15 @@ func TestCrossBlockDeadlock(t *testing.T) {
 	if !errors.Is(ferr, sim.ErrDeadlock) {
 		t.Fatalf("functional: got %v, want ErrDeadlock", ferr)
 	}
-	_, nerr := native.Run(build(), native.Options{WatchdogInterval: 10 * time.Millisecond})
+	nm := build()
+	_, nerr := native.Run(nm, native.Options{})
 	if !errors.Is(nerr, sim.ErrDeadlock) {
 		t.Fatalf("native: got %v, want ErrDeadlock", nerr)
 	}
 	if !strings.Contains(nerr.Error(), "deq-empty") {
 		t.Errorf("snapshot should report deq-empty stages, got: %v", nerr)
 	}
+	requireBlockedAt(t, nm, nerr, isa.OpDeq)
 }
 
 // infiniteLoop builds a machine that never terminates and touches no
@@ -340,8 +373,8 @@ func TestBarrierHaltRelease(t *testing.T) {
 }
 
 // TestCommOptPipelinesNeverDeadlockNatively pins the satellite claim: the
-// commopt pass's Q4 capacity-cycle safety argument holds for bounded Go
-// channels exactly as for the timing model's bounded queues, so every
+// commopt pass's Q4 capacity-cycle safety argument holds for the native
+// bounded rings exactly as for the timing model's bounded queues, so every
 // commopt-optimized family pipeline must run to completion natively with
 // its inferred capacities, and at least one family must actually carry
 // pass-assigned depths (so the test cannot silently assert nothing).

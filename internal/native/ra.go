@@ -8,166 +8,90 @@ import (
 	"phloem/internal/sim"
 )
 
-// raExec is one reference accelerator's goroutine: a batched prefetching
-// reader. It blocks for the first token, then greedily drains its input
-// channel up to the batch size before processing, amortizing channel
-// synchronization and giving the memory system a window of independent
-// loads — the software analogue of the RA's outstanding-request window.
-// Token semantics (INDIRECT per-index loads, SCAN [start,end) range
-// streaming with optional EmitNext group markers, control pass-through,
-// and trap conditions) match the functional engine's propagateRAs.
+// raExec is one reference accelerator as a resumable task. Token
+// semantics (INDIRECT per-index loads, SCAN [start,end) range streaming
+// with optional EmitNext group markers, control pass-through, and trap
+// conditions) match the functional engine's propagateRAs; the difference
+// is that a full output ring pauses the RA, so a SCAN range may be emitted
+// across several steps.
 type raExec struct {
-	e   *engine
-	idx int
-	// prodQ is the output queue, in producer-census form.
-	prodQ []int
-	buf   *valBuf
-	// pendStart carries a SCAN range's start token across batches.
+	spec *arch.RASpec
+	// pendStart holds a SCAN range's start token until its end arrives.
 	pendStart sim.Value
 	hasStart  bool
+	// arr[next:end] is the unemitted rest of the current SCAN range, and
+	// emitNext its pending group marker.
+	arr       *mem.Array
+	next, end int64
+	emitNext  bool
 }
 
-func newRAExec(e *engine, idx int) *raExec {
-	return &raExec{e: e, idx: idx, prodQ: []int{e.m.RAs[idx].OutQ}}
+// busy reports whether a SCAN range is partly emitted.
+func (r *raExec) busy() bool { return r.next < r.end || r.emitNext }
+
+func (r *raExec) trap(msg string) error {
+	return &sim.TrapError{Stage: "ra:" + r.spec.Name, PC: -1, Msg: msg}
 }
 
-func (r *raExec) release() {
-	if r.buf != nil {
-		r.buf.put()
-		r.buf = nil
-	}
-}
-
-func (r *raExec) run() {
-	e := r.e
-	defer e.wg.Done()
-	defer func() {
-		if rec := recover(); rec != nil {
-			me, ok := rec.(*mem.Error)
-			if !ok {
-				panic(rec)
+// step advances r until its input is empty or its output is full and
+// reports whether it moved a token.
+func (r *raExec) step(e *engine) (bool, error) {
+	spec := r.spec
+	in, out := &e.queues[spec.InQ], &e.queues[spec.OutQ]
+	moved := false
+	for {
+		for r.next < r.end {
+			if out.full() {
+				return moved, nil
 			}
-			e.fail(&sim.TrapError{PC: -1, Msg: me.Error()})
+			out.push(loadValue(r.arr, r.next))
+			r.next++
+			moved = true
 		}
-	}()
-	spec := &e.m.RAs[r.idx]
-	in := e.chans[spec.InQ]
-	r.buf = getBuf(e.opt.RABatch)
-	batch := r.buf.s[:0]
-	closed := false
-	for !closed {
-		// Block for the first token of a batch.
-		var first sim.Value
-		var ok bool
-		select {
-		case first, ok = <-in:
-		case <-e.stop:
-			return
-		}
-		if !ok {
-			break
-		}
-		batch = append(batch[:0], first)
-		// Greedy non-blocking drain up to the batch size.
-	drain:
-		for len(batch) < cap(batch) {
-			select {
-			case v, ok := <-in:
-				if !ok {
-					closed = true
-					break drain
-				}
-				batch = append(batch, v)
-			default:
-				break drain
+		if r.emitNext {
+			if out.full() {
+				return moved, nil
 			}
+			out.push(sim.CtrlVal(spec.NextCode))
+			r.emitNext = false
+			moved = true
 		}
-		for _, v := range batch {
-			if !r.process(spec, v) {
-				return
+		if in.n == 0 {
+			return moved, nil
+		}
+		v := in.buf[in.head]
+		arr := e.m.Slots[spec.Slot]
+		switch {
+		case v.Ctrl:
+			if r.hasStart {
+				return moved, r.trap("control value between SCAN start/end pair")
 			}
-			if e.hasSwaps {
-				e.raDone[r.idx].Add(1)
+			if out.full() {
+				return moved, nil
 			}
-		}
-		e.progress.Add(uint64(len(batch)))
-	}
-	// Input closed and drained: this RA can never produce again.
-	e.producerExit(r.prodQ)
-}
-
-// process handles one input token, pushing any outputs downstream.
-func (r *raExec) process(spec *arch.RASpec, v sim.Value) bool {
-	e := r.e
-	outQ := spec.OutQ
-	if v.Ctrl {
-		if r.hasStart {
-			e.fail(&sim.TrapError{Stage: "ra:" + spec.Name, PC: -1,
-				Msg: "control value between SCAN start/end pair"})
-			return false
-		}
-		return r.send(outQ, v)
-	}
-	arr := e.slots[spec.Slot].Load()
-	switch spec.Mode {
-	case arch.RAIndirect:
-		idx := v.Bits
-		if !arr.InBounds(idx) {
-			e.fail(&sim.TrapError{Stage: "ra:" + spec.Name, PC: -1,
-				Msg: fmt.Sprintf("index %d out of bounds for %s (len %d)", idx, arr.Name, arr.Len())})
-			return false
-		}
-		return r.send(outQ, loadValue(arr, idx))
-	default: // arch.RAScan
-		if !r.hasStart {
-			r.pendStart = v
-			r.hasStart = true
-			return true
-		}
-		start, end := r.pendStart.Bits, v.Bits
-		r.hasStart = false
-		if start < 0 || end < start || (end > start && !arr.InBounds(end-1)) {
-			e.fail(&sim.TrapError{Stage: "ra:" + spec.Name, PC: -1,
-				Msg: fmt.Sprintf("scan range [%d,%d) out of bounds for %s (len %d)", start, end, arr.Name, arr.Len())})
-			return false
-		}
-		for i := start; i < end; i++ {
-			if !r.send(outQ, loadValue(arr, i)) {
-				return false
+			out.push(in.pop())
+		case spec.Mode == arch.RAIndirect:
+			if out.full() {
+				return moved, nil
 			}
-			if (i-start)&(scanChunk-1) == scanChunk-1 {
-				// Keep the watchdog fed during very long range streams.
-				e.progress.Add(1)
+			in.pop()
+			if !arr.InBounds(v.Bits) {
+				return moved, r.trap(fmt.Sprintf("index %d out of bounds for %s (len %d)", v.Bits, arr.Name, arr.Len()))
 			}
+			out.push(loadValue(arr, v.Bits))
+		default: // arch.RAScan
+			in.pop()
+			if !r.hasStart {
+				r.pendStart, r.hasStart = v, true
+				break
+			}
+			start, end := r.pendStart.Bits, v.Bits
+			r.hasStart = false
+			if start < 0 || end < start || (end > start && !arr.InBounds(end-1)) {
+				return moved, r.trap(fmt.Sprintf("scan range [%d,%d) out of bounds for %s (len %d)", start, end, arr.Name, arr.Len()))
+			}
+			r.arr, r.next, r.end, r.emitNext = arr, start, end, spec.EmitNext
 		}
-		if spec.EmitNext {
-			return r.send(outQ, sim.CtrlVal(spec.NextCode))
-		}
-		return true
-	}
-}
-
-// send delivers v into q. RA output queues never fan out (validated), but
-// a chained downstream RA's sent counter is bumped before the send and
-// before this RA's done counter, preserving the quiesce invariant across
-// RA chains.
-func (r *raExec) send(q int, v sim.Value) bool {
-	e := r.e
-	if e.hasSwaps {
-		if ra := e.raIdx[q]; ra >= 0 {
-			e.raSent[ra].Add(1)
-		}
-	}
-	ch := e.chans[q]
-	select {
-	case ch <- v:
-		return true
-	default:
-	}
-	select {
-	case ch <- v:
-		return true
-	case <-e.stop:
-		return false
+		moved = true
 	}
 }

@@ -3,62 +3,47 @@ package native
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
+	"slices"
 
 	"phloem/internal/isa"
 	"phloem/internal/mem"
 	"phloem/internal/sim"
 )
 
-// Stage wait states published for deadlock snapshots, encoded into one
-// atomic word as state<<32 | queue.
+// Stage scheduling states. A stage in sDeq, sEnq, or sSwap resumes by
+// re-executing the instruction at its pc, which had no effect when it
+// yielded; a stage in sBarrier waits for the scheduler to release it.
 const (
-	wRunning = iota
-	wDeq
-	wEnq
-	wBarrier
-	wHalted
+	sReady   = iota
+	sDeq     // dequeue or peek on an empty ring (blockQ)
+	sEnq     // enqueue into a full ring (blockQ)
+	sBarrier // parked at OpBarrier
+	sSwap    // OpSwapSlots waiting for the RAs to quiesce
+	sHalted
 )
 
-// stageExec is one stage's goroutine state: the interpreter's register
-// file, per-queue peek stash (channels cannot peek, and each queue has
-// exactly one consumer, so a one-value holdback is exact), control-value
-// handler table, and the published wait state.
+// stageExec is one stage as a resumable task: its pc, register file, and
+// control-value handler table persist across yields.
 type stageExec struct {
-	e   *engine
-	st  *sim.Stage
-	use isa.QueueUse
-	// prodQ lists every queue this stage produces into, with fan-out
-	// destinations expanded, mirroring the engine's producer census.
-	prodQ []int
-
-	regsBuf *valBuf
-	regs    []sim.Value
-	peekBuf *valBuf
-	peeked  []sim.Value
-	hasPeek []bool
+	e    *engine
+	st   *sim.Stage
+	pc   int
+	regs []sim.Value
 	// handler maps queue id to handler pc (-1: none); nil when the
 	// program never registers one.
 	handler    []int
 	handlerVal int64
-
-	wait atomic.Int64
+	state      int
+	blockQ     int
 }
 
-func newStageExec(e *engine, st *sim.Stage, use isa.QueueUse) *stageExec {
-	x := &stageExec{e: e, st: st, use: use}
-	x.regsBuf = getBuf(st.Prog.NumRegs)
-	x.regs = x.regsBuf.s
+func newStageExec(e *engine, st *sim.Stage) *stageExec {
+	x := &stageExec{e: e, st: st, regs: make([]sim.Value, st.Prog.NumRegs)}
 	for _, ri := range st.Init {
 		x.regs[ri.Reg] = ri.Val
 	}
-	if len(use.Consumes) > 0 {
-		x.peekBuf = getBuf(len(e.chans))
-		x.peeked = x.peekBuf.s
-		x.hasPeek = make([]bool, len(e.chans))
-	}
-	if use.HasHandler {
-		x.handler = make([]int, len(e.chans))
+	if slices.ContainsFunc(st.Prog.Instrs, func(in isa.Instr) bool { return in.Op == isa.OpSetHandler }) {
+		x.handler = make([]int, len(e.queues))
 		for i := range x.handler {
 			x.handler[i] = -1
 		}
@@ -66,141 +51,26 @@ func newStageExec(e *engine, st *sim.Stage, use isa.QueueUse) *stageExec {
 	return x
 }
 
-// release returns pooled buffers after a successful run.
-func (x *stageExec) release() {
-	x.regs, x.peeked = nil, nil
-	if x.regsBuf != nil {
-		x.regsBuf.put()
-		x.regsBuf = nil
-	}
-	if x.peekBuf != nil {
-		x.peekBuf.put()
-		x.peekBuf = nil
-	}
+// trap builds a functional trap with the same message the simulator
+// would produce.
+func (x *stageExec) trap(pc int, msg string) error {
+	return &sim.TrapError{Stage: x.st.Prog.Name, PC: pc, Msg: msg}
 }
 
-func (x *stageExec) run() {
-	defer x.e.wg.Done()
-	// Typed memory-system panics become structured traps, exactly as in
-	// the functional engine; anything else is a real bug and propagates.
-	defer func() {
-		if r := recover(); r != nil {
-			me, ok := r.(*mem.Error)
-			if !ok {
-				panic(r)
-			}
-			x.e.fail(&sim.TrapError{PC: -1, Msg: me.Error()})
-		}
-	}()
-	if x.interp() {
-		x.wait.Store(wHalted << 32)
-		x.e.bar.leave()
-		x.e.producerExit(x.prodQ)
-	}
-}
-
-// trap records a functional trap with the same message the simulator
-// would produce and aborts the run.
-func (x *stageExec) trap(pc int, msg string) {
-	x.e.fail(&sim.TrapError{Stage: x.st.Prog.Name, PC: pc, Msg: msg})
-}
-
-// recv receives the next token of q, blocking until a producer delivers
-// one, the queue's last producer retires (a deadlock: the token can never
-// arrive), or the run aborts.
-func (x *stageExec) recv(q int) (sim.Value, bool) {
+// turn runs the stage from its pc until it yields, halts, parks at a
+// barrier, or has run checkEvery instructions, and returns how many
+// instructions it executed (added to the engine's count). Opcode semantics
+// are a line-for-line port of the functional engine's runThread.
+func (x *stageExec) turn() (int, error) {
 	e := x.e
-	ch := e.chans[q]
-	select {
-	case v, ok := <-ch:
-		if !ok {
-			e.fail(&sim.DeadlockError{Snapshot: e.snapshot(x, q)})
-			return sim.Value{}, false
-		}
-		return v, true
-	default:
-	}
-	x.wait.Store(wDeq<<32 | int64(q))
-	select {
-	case v, ok := <-ch:
-		x.wait.Store(wRunning)
-		if !ok {
-			e.fail(&sim.DeadlockError{Snapshot: e.snapshot(x, q)})
-			return sim.Value{}, false
-		}
-		e.progress.Add(1)
-		return v, true
-	case <-e.stop:
-		return sim.Value{}, false
-	}
-}
-
-// deqVal consumes the next token of q (peeked token first).
-func (x *stageExec) deqVal(q int) (sim.Value, bool) {
-	if x.hasPeek[q] {
-		x.hasPeek[q] = false
-		return x.peeked[q], true
-	}
-	return x.recv(q)
-}
-
-// peekVal reads the next token of q without consuming it.
-func (x *stageExec) peekVal(q int) (sim.Value, bool) {
-	if !x.hasPeek[q] {
-		v, ok := x.recv(q)
-		if !ok {
-			return sim.Value{}, false
-		}
-		x.peeked[q] = v
-		x.hasPeek[q] = true
-	}
-	return x.peeked[q], true
-}
-
-// send delivers v into q, blocking while the bounded queue is full. When
-// q feeds an RA and the machine swaps slots, the RA's sent counter is
-// bumped before the send so quiescence covers tokens still in the channel.
-func (x *stageExec) send(q int, v sim.Value) bool {
-	e := x.e
-	if e.hasSwaps {
-		if ra := e.raIdx[q]; ra >= 0 {
-			e.raSent[ra].Add(1)
-		}
-	}
-	ch := e.chans[q]
-	select {
-	case ch <- v:
-		return true
-	default:
-	}
-	x.wait.Store(wEnq<<32 | int64(q))
-	select {
-	case ch <- v:
-		x.wait.Store(wRunning)
-		e.progress.Add(1)
-		return true
-	case <-e.stop:
-		return false
-	}
-}
-
-// interp runs the stage program to completion, returning true on a clean
-// OpHalt and false when the run aborted (the engine's failure is already
-// recorded by whoever aborted). Opcode semantics are a line-for-line port
-// of the functional engine's runThread.
-func (x *stageExec) interp() bool {
-	e := x.e
-	prog := x.st.Prog
-	instrs := prog.Instrs
+	instrs := x.st.Prog.Instrs
 	regs := x.regs
-	pc := 0
-	var local uint64
+	pc := x.pc
+	n := 0
 
-	for {
+	for n < checkEvery {
 		if pc < 0 || pc >= len(instrs) {
-			e.bumpInstrs(local)
-			x.trap(pc, "pc out of range")
-			return false
+			return n, x.trap(pc, "pc out of range")
 		}
 		in := &instrs[pc]
 		nextPC := pc + 1
@@ -225,17 +95,13 @@ func (x *stageExec) interp() bool {
 		case isa.OpIDiv:
 			d := regs[in.B].Bits
 			if d == 0 {
-				e.bumpInstrs(local)
-				x.trap(pc, "integer division by zero")
-				return false
+				return n, x.trap(pc, "integer division by zero")
 			}
 			regs[in.Dst] = sim.IntVal(regs[in.A].Bits / d)
 		case isa.OpIRem:
 			d := regs[in.B].Bits
 			if d == 0 {
-				e.bumpInstrs(local)
-				x.trap(pc, "integer remainder by zero")
-				return false
+				return n, x.trap(pc, "integer remainder by zero")
 			}
 			regs[in.Dst] = sim.IntVal(regs[in.A].Bits % d)
 		case isa.OpIAnd:
@@ -294,56 +160,50 @@ func (x *stageExec) interp() bool {
 			regs[in.Dst] = sim.IntVal(int64(regs[in.A].Float()))
 
 		case isa.OpLoad:
-			a := e.slots[in.Slot].Load()
+			a := e.m.Slots[in.Slot]
 			idx := regs[in.A].Bits
 			if !a.InBounds(idx) {
-				e.bumpInstrs(local)
-				x.trap(pc, fmt.Sprintf("load %s[%d] out of bounds (len %d)", a.Name, idx, a.Len()))
-				return false
+				return n, x.trap(pc, fmt.Sprintf("load %s[%d] out of bounds (len %d)", a.Name, idx, a.Len()))
 			}
 			regs[in.Dst] = loadValue(a, idx)
 		case isa.OpPrefetch:
 			// Out-of-bounds prefetches are dropped, as hardware would; a
 			// software interpreter has nothing useful to prefetch into.
 		case isa.OpStore:
-			a := e.slots[in.Slot].Load()
+			a := e.m.Slots[in.Slot]
 			idx := regs[in.A].Bits
 			if !a.InBounds(idx) {
-				e.bumpInstrs(local)
-				x.trap(pc, fmt.Sprintf("store %s[%d] out of bounds (len %d)", a.Name, idx, a.Len()))
-				return false
+				return n, x.trap(pc, fmt.Sprintf("store %s[%d] out of bounds (len %d)", a.Name, idx, a.Len()))
 			}
 			storeValue(a, idx, regs[in.B])
 
 		case isa.OpEnq:
-			if !x.send(in.Q, regs[in.A]) {
-				e.bumpInstrs(local)
-				return false
+			// A fan-out enqueue pushes to every destination or to none.
+			if q := e.fullDest(in.Q); q >= 0 {
+				return x.yield(pc, n, sEnq, q)
 			}
+			e.queues[in.Q].push(regs[in.A])
 			if e.fan != nil {
 				for _, d := range e.fan[in.Q] {
-					if !x.send(d, regs[in.A]) {
-						e.bumpInstrs(local)
-						return false
-					}
+					e.queues[d].push(regs[in.A])
 				}
 			}
-		case isa.OpEnqCtrl:
-			if !x.send(in.Q, sim.CtrlVal(in.Imm)) {
-				e.bumpInstrs(local)
-				return false
+		case isa.OpEnqCtrl, isa.OpEnqCtrlV:
+			q := &e.queues[in.Q]
+			if q.full() {
+				return x.yield(pc, n, sEnq, in.Q)
 			}
-		case isa.OpEnqCtrlV:
-			if !x.send(in.Q, sim.CtrlVal(regs[in.A].Bits)) {
-				e.bumpInstrs(local)
-				return false
+			code := in.Imm
+			if in.Op == isa.OpEnqCtrlV {
+				code = regs[in.A].Bits
 			}
+			q.push(sim.CtrlVal(code))
 		case isa.OpDeq:
-			v, ok := x.deqVal(in.Q)
-			if !ok {
-				e.bumpInstrs(local)
-				return false
+			q := &e.queues[in.Q]
+			if q.n == 0 {
+				return x.yield(pc, n, sDeq, in.Q)
 			}
+			v := q.pop()
 			if x.handler != nil && x.handler[in.Q] >= 0 && v.Ctrl {
 				x.handlerVal = v.Bits
 				nextPC = x.handler[in.Q]
@@ -351,12 +211,13 @@ func (x *stageExec) interp() bool {
 				regs[in.Dst] = v
 			}
 		case isa.OpPeek:
-			v, ok := x.peekVal(in.Q)
-			if !ok {
-				e.bumpInstrs(local)
-				return false
+			// The token stays in the ring, so it still counts as leftover
+			// if it is never dequeued.
+			q := &e.queues[in.Q]
+			if q.n == 0 {
+				return x.yield(pc, n, sDeq, in.Q)
 			}
-			regs[in.Dst] = v
+			regs[in.Dst] = q.buf[q.head]
 		case isa.OpIsCtrl:
 			regs[in.Dst] = boolVal(regs[in.A].Ctrl)
 		case isa.OpCtrlCode:
@@ -377,41 +238,55 @@ func (x *stageExec) interp() bool {
 		case isa.OpJmp:
 			nextPC = in.Target
 		case isa.OpHalt:
-			e.bumpInstrs(local + 1)
-			return true
+			n++
+			e.live--
+			return x.yield(pc, n, sHalted, 0)
 		case isa.OpBarrier:
-			x.wait.Store(wBarrier << 32)
-			if !e.bar.wait() {
-				e.bumpInstrs(local)
-				return false
-			}
-			x.wait.Store(wRunning)
+			// The barrier counts as executed now; the scheduler steps the
+			// pc past it on release.
+			n++
+			e.waiting++
+			return x.yield(pc, n, sBarrier, 0)
 		case isa.OpSwapSlots:
 			// Quiesce RAs first so in-flight accelerator work observes the
 			// pre-swap bindings, matching the functional drain-then-swap.
-			if !e.quiesceRAs() {
-				e.bumpInstrs(local)
-				return false
+			if !e.rasIdle() {
+				return x.yield(pc, n, sSwap, 0)
 			}
-			a := e.slots[in.Slot].Load()
-			b := e.slots[in.Slot2].Load()
-			e.slots[in.Slot].Store(b)
-			e.slots[in.Slot2].Store(a)
+			s := e.m.Slots
+			s[in.Slot], s[in.Slot2] = s[in.Slot2], s[in.Slot]
 		default:
-			e.bumpInstrs(local)
-			x.trap(pc, fmt.Sprintf("unimplemented op %v", in.Op))
-			return false
+			return n, x.trap(pc, fmt.Sprintf("unimplemented op %v", in.Op))
 		}
 		pc = nextPC
-		local++
-		if local >= flushEvery {
-			e.bumpInstrs(local)
-			local = 0
-			if e.stopped.Load() {
-				return false
+		n++
+	}
+	return x.yield(pc, n, sReady, 0)
+}
+
+// yield parks the stage in state at pc, which re-executes on resume
+// unless the stage halted or reached a barrier, and accounts the n
+// instructions the turn ran.
+func (x *stageExec) yield(pc, n, state, q int) (int, error) {
+	x.pc, x.state, x.blockQ = pc, state, q
+	x.e.instrs += uint64(n)
+	return n, nil
+}
+
+// fullDest returns the first full ring among q and its fan-out
+// destinations, or -1 when all of them have space.
+func (e *engine) fullDest(q int) int {
+	if e.queues[q].full() {
+		return q
+	}
+	if e.fan != nil {
+		for _, d := range e.fan[q] {
+			if e.queues[d].full() {
+				return d
 			}
 		}
 	}
+	return -1
 }
 
 func boolVal(b bool) sim.Value {
